@@ -18,7 +18,9 @@ scaling past 16 processors in the paper.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -182,37 +184,123 @@ def _encode_cells(cells: List[_Cell], max_cells: int) -> np.ndarray:
     return out
 
 
-def _force_on(body: int, pos: np.ndarray, fetch_cell, masses):
-    """Barnes-Hut traversal; ``fetch_cell`` is a generator that reads one
-    cell record from the shared cell array, faulting pages on demand (the
-    real program touches only the tree pages its traversals visit)."""
-    force = np.zeros(3)
+class _TreePages:
+    """One processor's decoded copy of the published cell array.
+
+    A tree page is read from shared memory the first time a traversal
+    touches it and decoded once into flat per-cell columns: NumPy arrays
+    for the batched distance computation, and memoryviews over them for
+    the walk's reads as Python numbers.
+    """
+
+    def __init__(self, max_cells: int, page_rows: int):
+        self.page_rows = page_rows
+        self.max_cells = max_cells
+        self.loaded = bytearray(max_cells)
+        self.top = 0  # every decoded row lies below this one
+        self._com = np.zeros((max_cells, 3))
+        self._mass = np.zeros(max_cells)
+        self._open2 = np.zeros(max_cells)
+        self._leaf = np.zeros(max_cells, np.int32)
+        # An internal cell's children, in slot order (the order the walk
+        # pushes them), are kids[kid_lo[cell]:kid_hi[cell]].
+        self._kid_lo = np.zeros(max_cells, np.int32)
+        self._kid_hi = np.zeros(max_cells, np.int32)
+        self.kids = array("i")
+        # One body's squared distance to every decoded cell.
+        self._dist2 = np.zeros(max_cells)
+        self.com = memoryview(self._com.reshape(-1))
+        self.mass = memoryview(self._mass)
+        self.open2 = memoryview(self._open2)
+        self.leaf = memoryview(self._leaf)
+        self.kid_lo = memoryview(self._kid_lo)
+        self.kid_hi = memoryview(self._kid_hi)
+        self.dist2 = memoryview(self._dist2)
+
+    def decode(self, first: int, rows: np.ndarray) -> None:
+        last = first + len(rows)
+        self._com[first:last] = rows[:, 1:4]
+        self._mass[first:last] = rows[:, 0]
+        # The opening test's (2 * half) ** 2 as a Python float pow, which
+        # is C pow like a NumPy scalar's; NumPy's array square rounds
+        # differently on some inputs.
+        self._open2[first:last] = [(2 * h) ** 2 for h in rows[:, 4].tolist()]
+        self._leaf[first:last] = rows[:, 13]
+        kids = rows[:, 5:13]
+        present = kids >= 0
+        counts = present.sum(axis=1)
+        ends = len(self.kids) + np.cumsum(counts)
+        self._kid_lo[first:last] = ends - counts
+        self._kid_hi[first:last] = ends
+        self.kids.extend(kids[present].astype(int).tolist())
+        self.loaded[first:last] = b"\x01" * len(rows)
+        self.top = max(self.top, last)
+
+    def measure(self, pos: np.ndarray, first: int, last: int) -> None:
+        """Set ``dist2`` for cells ``[first, last)`` to the squared
+        distances from ``pos``.
+
+        A stacked 1x3 @ 3x1 matmul runs the same dot kernel per cell as
+        a 3-vector ``delta @ delta``, so every value has the bits of the
+        per-cell product; ``(delta * delta).sum(1)``, ``einsum`` and
+        ``x*x + y*y + z*z`` do not.
+        """
+        delta = self._com[first:last] - pos
+        np.matmul(
+            delta[:, None, :], delta[:, :, None],
+            out=self._dist2[first:last, None, None],
+        )
+
+
+def _walk(tree: _TreePages, body: int, pos: np.ndarray, fetch):
+    """Barnes-Hut traversal for one body; returns ``((fx, fy, fz),
+    interactions)``.
+
+    A depth-first walk in Python numbers over ``tree``.  It yields only
+    inside ``fetch(first, last)``, a generator returning the cell rows of
+    a page no traversal on this processor has touched yet, so pages are
+    fetched on demand in first-touch pop order (the real program touches
+    only the tree pages its traversals visit).  Forces accumulate in pop
+    order, per component, with the IEEE operations of ``force += mass *
+    delta / s`` on NumPy 3-vectors: the walk's results are written to
+    shared memory, where TreadMarks diffs them bit by bit.
+    """
+    px, py, pz = pos.tolist()
+    tree.measure(pos, 0, tree.top)
+    loaded, com, mass, open2 = tree.loaded, tree.com, tree.mass, tree.open2
+    dist2, leaf, kids = tree.dist2, tree.leaf, tree.kids
+    kid_lo, kid_hi = tree.kid_lo, tree.kid_hi
+    theta2 = THETA * THETA
+    fx = fy = fz = 0.0
     interactions = 0
     stack = [0]
+    pop = stack.pop
     while stack:
-        idx = stack.pop()
-        record = yield from fetch_cell(idx)
-        mass = record[0]
-        if mass <= 0.0:
+        idx = pop()
+        if not loaded[idx]:
+            first = idx - idx % tree.page_rows
+            last = min(first + tree.page_rows, tree.max_cells)
+            rows = yield from fetch(first, last)
+            tree.decode(first, rows)
+            tree.measure(pos, first, last)
+        m = mass[idx]
+        if m <= 0.0:
             continue
-        com = record[1:4]
-        half = record[4]
-        leaf_body = int(record[13])
-        delta = com - pos
-        dist2 = float(delta @ delta)
+        d2 = dist2[idx]
+        leaf_body = leaf[idx]
         if leaf_body >= 0:
-            if leaf_body != body:
-                interactions += 1
-                force += mass * delta / (dist2 + 1e-4) ** 1.5
+            if leaf_body == body:
+                continue
+        elif not (d2 > 0 and open2[idx] < theta2 * d2):
+            stack += kids[kid_lo[idx] : kid_hi[idx]]
             continue
-        if dist2 > 0 and (2 * half) ** 2 < THETA * THETA * dist2:
-            interactions += 1
-            force += mass * delta / (dist2 + 1e-4) ** 1.5
-            continue
-        for child in record[5:13]:
-            if child >= 0:
-                stack.append(int(child))
-    return force, interactions
+        interactions += 1
+        s = (d2 + 1e-4) ** 1.5  # np.power rounds differently on some inputs
+        c = 3 * idx
+        fx += m * (com[c] - px) / s
+        fy += m * (com[c + 1] - py) / s
+        fz += m * (com[c + 2] - pz) / s
+    return (fx, fy, fz), interactions
 
 
 def _my_chunks(rank: int, nprocs: int, n: int) -> List[int]:
@@ -233,6 +321,7 @@ def worker(env, shared: Dict, params: Dict):
     masses, max_cells = shared["masses"], shared["max_cells"]
     mine = _my_chunks(env.rank, env.nprocs, n)
     ws = WorkingSet(primary=0)
+    fetch = partial(cells.read_rows, env)
     # Bulk regions over this rank's interleaved bodies, built once: the
     # acceleration columns (one segment per body), and the pos/vel
     # columns as *two* segments per body so the batched write replays
@@ -264,58 +353,34 @@ def worker(env, shared: Dict, params: Dict):
         # Fetch-blocking heuristic keyed on the VM page (not the sharing
         # unit): keeps the access pattern — and results — policy-invariant.
         page_rows = env.protocol.space.vm_page_size // (CELL_FIELDS * 8)
-        cell_cache = {}
-
-        def fetch_cell(idx):
-            block = idx // page_rows
-            rows = cell_cache.get(block)
-            if rows is None:
-                first = block * page_rows
-                last = min(first + page_rows, max_cells)
-                rows = yield from cells.read_rows(env, first, last)
-                cell_cache[block] = rows
-            return rows[idx - block * page_rows]
-
+        tree = _TreePages(max_cells, page_rows)
         all_bodies = yield from bodies.read_all(env)
-        new_acc = {}
+        forces = []
         for body in mine:
             # Compute interleaves with tree-page fetches, as in the real
             # traversal: remote requests land while this processor is
             # busy, which is where the interrupt-vs-polling gap lives.
-            force, inter = yield from _force_on(
-                body, all_bodies[body, 0:3], fetch_cell, masses
+            force, inter = yield from _walk(
+                tree, body, all_bodies[body, 0:3], fetch
             )
-            new_acc[body] = force / masses[body]
+            forces.append(force)
             yield from env.compute(
                 inter * US_PER_INTERACTION, polls=max(inter, 1), ws=ws
             )
-        if kernels.ENABLED and mine:
-            acc_block = np.stack([new_acc[b] for b in mine])
+        if mine:
+            acc_block = np.array(forces) / masses[mine][:, None]
             yield from bodies.write_region(env, acc_region, acc_block)
-        else:
-            for body in mine:
-                yield from bodies.write_range(
-                    env, body * BODY_FIELDS + 6, new_acc[body]
-                )
         yield from env.barrier(0)
 
         # Phase 3: position/velocity update for assigned bodies.
         all_bodies = yield from bodies.read_all(env)
         yield from env.compute(len(mine) * 1.0, polls=len(mine))
-        if kernels.ENABLED and mine:
+        if mine:
             pos_block, vel_block = kernels.barnes_integrate(
                 all_bodies, mine, DT
             )
             posvel = np.concatenate([pos_block, vel_block], axis=1)
             yield from bodies.write_region(env, posvel_region, posvel)
-        else:
-            for body in mine:
-                vel = all_bodies[body, 3:6] + all_bodies[body, 6:9] * DT
-                pos = all_bodies[body, 0:3] + vel * DT
-                yield from bodies.write_range(env, body * BODY_FIELDS, pos)
-                yield from bodies.write_range(
-                    env, body * BODY_FIELDS + 3, vel
-                )
         yield from env.barrier(0)
     env.stop_timer()
     if env.rank == 0:

@@ -29,7 +29,8 @@ layer on or off.
 
 **Escape hatch.**  ``SimOptions(kernels=False)`` — the CLI's
 ``--no-kernels`` flag or the deprecated ``REPRO_DSM_NO_KERNELS=1``
-alias — restores the per-element scalar reference loops in every app.
+alias — restores the per-element scalar reference loops in every app
+but barnes, which keeps one path (its reference loops live in the tests).
 Simulated stats, counters, and traces are bit-identical either way
 (locked in by ``tests/test_engine_equivalence.py``); only wall clock
 differs.
@@ -249,7 +250,8 @@ def barnes_integrate(
 
     ``bodies`` is the full (n, 9) body array; returns ``(pos, vel)``
     blocks in ``mine`` order — elementwise the per-body update of the
-    scalar loop, batched with one fancy-index gather.
+    scalar loop in ``tests/test_app_kernels.py``, batched with one
+    fancy-index gather.
     """
     sel = bodies[np.asarray(mine, dtype=np.intp)]
     vel = sel[:, 3:6] + sel[:, 6:9] * dt

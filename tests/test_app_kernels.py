@@ -332,6 +332,155 @@ def test_kernel_barnes_integrate_bitwise():
         assert np.array_equal(pos_block[i], pos)
 
 
+def _reference_force_on(body, pos, fetch_cell):
+    """Reference Barnes-Hut walk, one cell record at a time in NumPy:
+    ``barnes._walk`` must match it bit for bit."""
+    force = np.zeros(3)
+    interactions = 0
+    stack = [0]
+    while stack:
+        idx = stack.pop()
+        record = yield from fetch_cell(idx)
+        mass = record[0]
+        if mass <= 0.0:
+            continue
+        com = record[1:4]
+        half = record[4]
+        leaf_body = int(record[13])
+        delta = com - pos
+        dist2 = float(delta @ delta)
+        if leaf_body >= 0:
+            if leaf_body != body:
+                interactions += 1
+                force += mass * delta / (dist2 + 1e-4) ** 1.5
+            continue
+        if dist2 > 0 and (2 * half) ** 2 < barnes.THETA * barnes.THETA * dist2:
+            interactions += 1
+            force += mass * delta / (dist2 + 1e-4) ** 1.5
+            continue
+        for child in record[5:13]:
+            if child >= 0:
+                stack.append(int(child))
+    return force, interactions
+
+
+def _drain(walk):
+    """Run a walk whose fetches never suspend; return its result.  A walk
+    that suspends anyway yields outside a fetch, which is an error."""
+    try:
+        next(walk)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("walk suspended outside a fetch")
+
+
+def _assert_walks_agree(encoded, walks, page_rows=64):
+    """Walk ``(body, pos)`` pairs with both walks over one shared tree
+    (as one processor does in one step) and compare bit for bit."""
+    max_cells = len(encoded)
+    ref_blocks, ref_cache = [], {}
+
+    def fetch_cell(idx):
+        block = idx // page_rows
+        if block not in ref_cache:
+            ref_blocks.append(block)
+            first = block * page_rows
+            ref_cache[block] = encoded[first:first + page_rows].copy()
+        return ref_cache[block][idx - block * page_rows]
+        yield
+
+    new_blocks = []
+
+    def fetch(first, last):
+        new_blocks.append(first // page_rows)
+        return encoded[first:last].copy()
+        yield
+
+    tree = barnes._TreePages(max_cells, page_rows)
+    for body, pos in walks:
+        ref_force, ref_inter = _drain(_reference_force_on(body, pos, fetch_cell))
+        force, inter = _drain(barnes._walk(tree, body, pos, fetch))
+        assert np.array(force).tobytes() == ref_force.tobytes()
+        assert inter == ref_inter
+        assert new_blocks == ref_blocks
+    return ref_blocks
+
+
+def _encoded_tree(positions, slack=2):
+    masses = np.ones(len(positions)) / len(positions)
+    cells = barnes._build_tree(positions, masses)
+    return cells, barnes._encode_cells(cells, slack * len(cells) + 64)
+
+
+def test_barnes_walk_matches_reference_random_bodies():
+    rng = deterministic_rng(40)
+    positions = rng.random((300, 3)) * 2.0 - 1.0
+    cells, encoded = _encoded_tree(positions)
+    assert len(cells) > 3 * 64  # the walk spans several pages
+    walks = [(b, positions[b]) for b in rng.permutation(300)[:120]]
+    walks += [(-1, p) for p in rng.random((40, 3)) * 3.0 - 1.5]
+    blocks = _assert_walks_agree(encoded, walks)
+    assert len(blocks) > 3
+    # Small pages: many more first-touch fetches, interleaved mid-walk.
+    assert len(_assert_walks_agree(encoded, walks, page_rows=5)) > 40
+
+
+def test_barnes_walk_matches_reference_on_cell_centres():
+    # dist2 == 0: a walk from each cell's centre of mass exactly, over
+    # leaves (another body at distance zero) and internal cells (never
+    # opened by the angle test).
+    rng = deterministic_rng(41)
+    positions = rng.random((80, 3))
+    cells, encoded = _encoded_tree(positions)
+    walks = []
+    for i in range(len(cells)):
+        centre = encoded[i, 1:4].copy()
+        walks += [(int(encoded[i, 13]), centre), (-1, centre)]
+    _assert_walks_agree(encoded, walks, page_rows=16)
+
+
+def test_barnes_walk_matches_reference_deep_tree():
+    # Near-coincident bodies split down many octree levels.
+    rng = deterministic_rng(42)
+    base = rng.random((20, 3))
+    positions = np.concatenate([base, base + 1e-9, base - 3e-12])
+    cells, encoded = _encoded_tree(positions)
+    assert len(cells) > 10 * len(positions)
+    walks = [(b, positions[b]) for b in range(len(positions))]
+    _assert_walks_agree(encoded, walks, page_rows=32)
+
+
+def test_barnes_walk_matches_reference_zero_mass_cells():
+    # Children pointing at zero-mass padding rows, one of them on a page
+    # of padding only: the walk still fetches that page, then skips.
+    rng = deterministic_rng(43)
+    positions = rng.random((100, 3))
+    cells, encoded = _encoded_tree(positions, slack=3)
+    last_row = len(encoded) - 1
+    patched = 0
+    for i in range(len(cells)):
+        if encoded[i, 13] < 0 and -1.0 in encoded[i, 5:13]:
+            slot = 5 + list(encoded[i, 5:13]).index(-1.0)
+            encoded[i, slot] = last_row if patched % 2 else len(cells)
+            patched += 1
+    assert patched > 2
+    walks = [(b, positions[b]) for b in range(len(positions))]
+    blocks = _assert_walks_agree(encoded, walks)
+    assert last_row // 64 in blocks
+
+
+def test_barnes_opening_threshold_bits():
+    # The decoded (2 * half) ** 2 has the bits of the NumPy-scalar power
+    # the per-cell walk computed; NumPy's array square differs from it.
+    rng = deterministic_rng(44)
+    rows = np.zeros((50000, barnes.CELL_FIELDS))
+    rows[:, 4] = rng.random(50000) * np.exp2(rng.integers(-30, 10, 50000))
+    tree = barnes._TreePages(len(rows), len(rows))
+    tree.decode(0, rows)
+    expected = [(2 * half) ** 2 for half in rows[:, 4]]
+    assert tree.open2.tolist() == expected
+
+
 def test_kernel_em3d_gather_update_bitwise():
     params = dict(n_nodes=256, degree=4, seed=11)
     deps = em3d._dependencies(params)
